@@ -58,9 +58,6 @@ def parse_args(argv):
                         help="length of the measured window")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: print the per-layer ledger instead")
-    parser.add_argument("--golden", type=Path, default=GOLDEN,
-                        help="golden verdict file (default: golden.json "
-                             "beside this script)")
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
@@ -135,7 +132,7 @@ def run(args, tmp: Path) -> int:
     def scratch(label: str) -> Path:
         return tmp / f"{label}-{next(counter)}"
 
-    golden = json.loads(args.golden.read_text())
+    golden = json.loads(GOLDEN.read_text())
     workload = workloads.make_workloads(scratch)[args.workload]
     print(f"perfbench workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds:g} trace={args.trace}")
@@ -154,20 +151,24 @@ def run(args, tmp: Path) -> int:
             metrics[name] = {"value": layers[name], "unit": unit}
             print(f"  {name:<32} {layers[name]:>14.6g} {unit}")
     else:
-        # One unmeasured warm-up set-up (it compiles bytecode), then samples.
-        setups = [workload.setup_sample() for _ in range(SETUP_SAMPLES + 1)][1:]
+        setups, raw_setups = workloads.measure_setup(
+            workload.setup_sample, SETUP_SAMPLES)
         workload.prepare()
         window = workload.measure(args.seed, args.seconds, golden)
         values = {
             "setup_s": statistics.median(setups),
-            "ops_per_s": window.ops / window.wall_s,
-            "cpu_ms_per_op": window.cpu_s * 1e3 / window.ops,
+            "ops_per_s": window.ops_per_s(),
+            "cpu_ms_per_op": window.cpu_ms_per_op(),
             "peak_rss_mb": window.rss_mb,
         }
+        per = f"median of {len(window.sizes)} {workload.segment}s"
         notes = {
-            "setup_s": f"median of {len(setups)} fresh-process set-ups",
-            "ops_per_s": f"{window.ops} {window.unit} in {window.wall_s:.3f} s",
-            "cpu_ms_per_op": f"{window.cpu_s:.3f} s cpu incl. reaped children",
+            "setup_s": f"median cpu of {len(setups)} fresh-process set-ups; "
+                       f"raw {statistics.median(raw_setups):.4g} s",
+            "ops_per_s": f"{per}; raw {window.ops} {window.unit} in "
+                         f"{sum(window.walls):.3f} s",
+            "cpu_ms_per_op": f"{per}; raw {window.cpu_s:.3f} s cpu incl. "
+                             "reaped children",
             "peak_rss_mb": "peak resident set (README: which process)",
         }
         for name, unit in END_TO_END:
@@ -176,6 +177,10 @@ def run(args, tmp: Path) -> int:
         print(f"  {'error_rate':<16} {window.failed / window.attempted:>14.6g} "
               f"{'ratio':<6} {window.failed} failed of {window.attempted} "
               "attempted")
+        print(f"  {'host_speed':<16} {window.host_speed():>14.6g} "
+              f"{'ratio':<6} median over {len(window.scales)} "
+              f"{workload.segment}s of the sampled speed against the "
+              "reference; times above are at reference speed")
         for name, (value, unit, note) in window.extra.items():
             print(f"  {name:<16} {value:>14.6g} {unit:<6} {note}")
     for failure in window.failures:

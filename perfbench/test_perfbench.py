@@ -14,6 +14,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,16 +89,17 @@ def test_every_metric_prints_with_its_unit(name, trace):
             assert "inconclusive_frac" in report
 
 
-def test_wrong_golden_fails_the_run(tmp_path):
+def test_wrong_golden_fails_the_run(tmp_path, monkeypatch, capsys):
     golden = json.loads(run.GOLDEN.read_text())
     golden["safety-orbit"]["identity"]["configs_explored"] += 1
     golden["safety-orbit"]["digest"] = workloads.record_digest(
         golden["safety-orbit"]["identity"])
     wrong = tmp_path / "golden.json"
     wrong.write_text(json.dumps(golden))
-    proc, lines = bench("--workload", "safety-orbit", "--seconds", "1",
-                        "--golden", str(wrong))
-    assert proc.returncode == 1
+    monkeypatch.setattr(run, "GOLDEN", wrong)
+    code = run.main(["--workload", "safety-orbit", "--seconds", "1"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 1
     result = last_json(lines)
     assert result["correct"] is False and result["failed"] >= 1
     rate = next(line for line in lines if line.split()[0] == "error_rate")
@@ -105,16 +107,39 @@ def test_wrong_golden_fails_the_run(tmp_path):
     assert any("configs_explored" in line for line in lines if "FAILED" in line)
 
 
+def campaign_golden():
+    return json.loads(run.GOLDEN.read_text())["campaign-corruption"]["trials"]
+
+
+def test_campaign_golden_covers_every_plan_seed():
+    golden = campaign_golden()
+    assert sorted(map(int, golden)) == list(workloads.PLAN_SEEDS)
+    for labels in golden.values():
+        assert len(labels) == workloads.CAMPAIGN_TRIALS
+    stream = workloads.plan_seeds(7)
+    drawn = [next(stream) for _ in range(3 * len(workloads.PLAN_SEEDS))]
+    assert set(drawn) == set(workloads.PLAN_SEEDS)
+
+
 def test_wrong_campaign_label_is_a_failure():
-    labels = dict(json.loads(run.GOLDEN.read_text())
-                  ["campaign-corruption"]["labels"])
-    report = workloads.CampaignWorkload().campaign(next(workloads.plan_seeds(1)))
-    assert all(workloads.trial_mismatch(t, labels) is None for t in report.trials)
-    labels["lost-write"] = "violation"
-    assert any(workloads.trial_mismatch(t, labels) for t in report.trials)
+    plan_seed = next(workloads.plan_seeds(1))
+    expected = [tuple(e) for e in campaign_golden()[str(plan_seed)]]
+    report = workloads.CampaignWorkload().campaign(plan_seed)
+    pairs = list(zip(report.trials, expected))
+    assert all(workloads.trial_mismatch(t, e) is None for t, e in pairs)
+    # A safe trial that the golden called a violation is a failure ...
+    flipped = [(name, "violation" if label == "safe" else label)
+               for name, label in expected]
+    assert any(workloads.trial_mismatch(t, e)
+               for t, e in zip(report.trials, flipped))
+    # ... and so is a trial from another plan than the golden's.
+    shifted = expected[1:] + expected[:1]
+    assert any(workloads.trial_mismatch(t, e)
+               for t, e in zip(report.trials, shifted))
     # An inconclusive golden accepts any outcome: a verdict may be gained.
-    labels = {kind: "inconclusive" for kind in labels}
-    assert all(workloads.trial_mismatch(t, labels) is None for t in report.trials)
+    lenient = [(name, "inconclusive") for name, _ in expected]
+    assert all(workloads.trial_mismatch(t, e) is None
+               for t, e in zip(report.trials, lenient))
 
 
 def test_campaign_seed_changes_plans_explore_verdicts_do_not_move():
@@ -140,7 +165,7 @@ def test_serve_stream_is_seeded_and_cold_keys_are_distinct():
     colds = [job for kind, job in take(5) if kind == "cold"]
     hits = [item for kind, item in take(5) if kind == "hit"]
     assert len({json.dumps(job, sort_keys=True) for job in colds}) == len(colds)
-    assert 2 <= len(hits) / len(colds) <= 4
+    assert len(hits) == workloads.HITS_PER_COLD * len(colds)
 
 
 def test_deterministic_counts_repeat_exactly():
@@ -156,6 +181,26 @@ def test_deterministic_counts_repeat_exactly():
     first, second = traced_counts(), traced_counts()
     assert first == second
     assert first[0]["system.step"] > 0 and first[0]["packed.encode"] > 0
+
+
+def test_times_are_priced_at_reference_speed():
+    # The same closure, timed while the host ran at full, half and quarter
+    # speed, reads the same once each time is scaled by the host's speed.
+    window = workloads.Window(
+        unit="configs", sizes=[100, 100, 100], walls=[1.0, 2.0, 4.0],
+        cpus=[1.0, 2.0, 4.0], scales=[1.0, 0.5, 0.25])
+    assert window.ops_per_s() == 100.0
+    assert window.cpu_ms_per_op() == 10.0
+    with workloads.SpeedMeter() as meter:
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 0.3:
+            pass
+        t1 = time.perf_counter()
+    assert len(meter.samples) >= 3
+    assert 0.05 < meter.scale(t0, t1) < 20
+    # A stretch with no sample inside takes one on the spot.
+    assert meter.scale(t1 + 10, t1 + 11) > 0
+    assert workloads.probe_work() == workloads.probe_work()
 
 
 def test_self_time_excludes_traced_children():

@@ -68,18 +68,119 @@ def percentile(values: List[float], q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
+def children_cpu_seconds() -> float:
+    """CPU seconds of every child this process has reaped so far."""
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return kids.ru_utime + kids.ru_stime
+
+
 def fresh_process_setup(name: str) -> float:
-    """Seconds for a fresh interpreter to import the library and run the
-    named workload's ``prepare()``."""
+    """CPU seconds a fresh interpreter spends to import the library and
+    run the named workload's ``prepare()``.
+
+    CPU rather than wall time: on a shared host the wall time of a short
+    process start is mostly the scheduler's, while its CPU time is the
+    set-up work itself.
+    """
     code = (
         "import sys; "
         f"sys.path[:0] = [{str(SRC)!r}, {str(HERE)!r}]; "
         "import workloads; "
         f"workloads.make_workloads(None)[{name!r}].prepare()"
     )
-    t0 = time.perf_counter()
+    cpu0 = children_cpu_seconds()
     subprocess.run([sys.executable, "-c", code], cwd=str(ROOT), check=True)
-    return time.perf_counter() - t0
+    return children_cpu_seconds() - cpu0
+
+
+# --------------------------------------------------------------------- #
+# Host-speed meter
+# --------------------------------------------------------------------- #
+
+#: States one :func:`probe_work` sample explores.
+PROBE_STATES = 200
+
+#: Thread CPU seconds one sample takes on a 2.1 GHz Xeon vCPU under
+#: Python 3.11 with no neighbour load.  Timed metrics are reported at
+#: this reference speed.
+REFERENCE_PROBE_S = 0.0005
+
+#: Seconds between two samples of the host's speed.
+PROBE_PERIOD_S = 0.05
+
+
+def probe_work(limit: int = PROBE_STATES) -> int:
+    """A fixed toy exploration: tuple states, byte-string keys, a visited
+    dict and partial sorts, the same interpreter work the explorers do.
+
+    It is this benchmark's own code, so a change to the library never
+    moves it; only the host's speed does.  Returns the edges it followed.
+    """
+    start = (0, 1, 2, 3, 4, 5)
+    visited = {bytes(start): 0}
+    frontier = [start]
+    edges = 0
+    while frontier and len(visited) < limit:
+        successors = []
+        for state in frontier:
+            for i in range(6):
+                nxt = list(state)
+                nxt[i] = (nxt[i] * 5 + i + 3) % 17
+                if i & 1:
+                    nxt[:3] = sorted(nxt[:3])
+                key = bytes(nxt)
+                edges += 1
+                if key not in visited:
+                    visited[key] = len(visited)
+                    successors.append(tuple(nxt))
+        frontier = successors
+    return edges
+
+
+class SpeedMeter:
+    """Samples the host's speed while the measured work runs.
+
+    On the shared host a vCPU switches between a fast and a slow speed
+    (about 1.6x apart) every second or so, as its neighbours' load comes
+    and goes, in CPU time as much as in wall time; the share of time spent
+    slow drifts over minutes.  Every :data:`PROBE_PERIOD_S` a ``SIGALRM``
+    handler times one :func:`probe_work` in this thread's CPU time, on
+    whatever vCPU this process runs on at that moment.  A stretch of work
+    is then priced at reference speed by multiplying its time by the mean
+    of the samples' speeds (reference time over sample time) inside it.
+    Pool workers and child processes inherit no timer.
+    """
+
+    def __init__(self) -> None:
+        self.samples: List[Tuple[float, float]] = []
+        self._previous = None
+
+    def __enter__(self) -> "SpeedMeter":
+        self._previous = signal.signal(signal.SIGALRM, self._sample)
+        signal.siginterrupt(signal.SIGALRM, False)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_PERIOD_S, PROBE_PERIOD_S)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0, 0)
+        signal.signal(signal.SIGALRM, self._previous)
+
+    def _sample(self, signum=None, frame=None) -> None:
+        t0 = time.thread_time()
+        probe_work()
+        seconds = time.thread_time() - t0
+        self.samples.append((time.perf_counter(),
+                             REFERENCE_PROBE_S / max(seconds, 1e-9)))
+
+    def scale(self, t0: float, t1: float) -> float:
+        """The factor that prices a stretch timed from *t0* to *t1*
+        (``perf_counter``) at reference speed: below 1 when the host ran
+        slower than the reference."""
+        inside = [speed for t, speed in self.samples if t0 <= t <= t1]
+        if not inside:
+            self._sample()
+            inside = [self.samples[-1][1]]
+        return statistics.fmean(inside)
 
 
 def record_digest(record: Dict[str, Any]) -> str:
@@ -119,8 +220,14 @@ class Window:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     rss_mb: float = 0.0
-    #: Wall seconds of each verdict (closure or campaign), in order.
+    #: Wall and CPU seconds of each segment, in order: one verdict (closure
+    #: or campaign), or one run of requests (serve).  Serve has no CPU per
+    #: segment, since its daemon's CPU is known only once it is reaped.
     walls: List[float] = field(default_factory=list)
+    cpus: List[float] = field(default_factory=list)
+    #: Ops of each segment, and its :meth:`SpeedMeter.scale`.
+    sizes: List[int] = field(default_factory=list)
+    scales: List[float] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
     #: Report-only metrics: name -> (value, unit, note).
     extra: Dict[str, Tuple[float, str, str]] = field(default_factory=dict)
@@ -130,20 +237,70 @@ class Window:
         if len(self.failures) < 20:
             self.failures.append(why)
 
+    def ops_per_s(self) -> float:
+        """The median segment's ops per wall second at reference speed, so
+        neither one segment slowed by a burst of host load nor the host's
+        speed over the window moves it."""
+        return statistics.median(
+            n / (wall * scale)
+            for n, wall, scale in zip(self.sizes, self.walls, self.scales))
+
+    def cpu_ms_per_op(self) -> float:
+        """The median segment's CPU milliseconds per op at reference speed;
+        the whole window's when segments have no CPU of their own."""
+        if not self.cpus:
+            return (self.cpu_s * statistics.median(self.scales) * 1e3
+                    / sum(self.sizes))
+        return statistics.median(
+            cpu * scale * 1e3 / n
+            for n, cpu, scale in zip(self.sizes, self.cpus, self.scales))
+
+    def host_speed(self) -> float:
+        """The median segment's host speed against the reference."""
+        return statistics.median(self.scales)
+
 
 def run_window(window: Window, seconds: float, verdict: Callable[[], None]) -> None:
     """Repeat *verdict* until *seconds* have passed (at least once), timing
-    each call and the whole window on *window*."""
+    each call and the host's speed during it, and the whole window, on
+    *window*."""
     cpu0, t_start = cpu_seconds(), time.perf_counter()
-    while True:
-        t0 = time.perf_counter()
-        verdict()
-        window.walls.append(time.perf_counter() - t0)
-        if time.perf_counter() - t_start >= seconds:
-            break
+    with SpeedMeter() as meter:
+        while True:
+            t0, c0 = time.perf_counter(), cpu_seconds()
+            verdict()
+            t1 = time.perf_counter()
+            window.walls.append(t1 - t0)
+            window.cpus.append(cpu_seconds() - c0)
+            window.scales.append(meter.scale(t0, t1))
+            if t1 - t_start >= seconds:
+                break
     window.wall_s = time.perf_counter() - t_start
     window.cpu_s = cpu_seconds() - cpu0
     window.rss_mb = peak_rss_mb()
+
+
+def measure_setup(sample: Callable[[], float], samples: int) -> Tuple[List[float], List[float]]:
+    """*samples* set-up times after one unmeasured warm-up (it compiles
+    bytecode); returns them at reference speed and raw.
+
+    This process and the set-up's processes share one CPU meanwhile, so
+    the speed meter samples the vCPU the set-up runs on.
+    """
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        sample()
+        scaled, raw = [], []
+        with SpeedMeter() as meter:
+            for _ in range(samples):
+                t0 = time.perf_counter()
+                seconds = sample()
+                raw.append(seconds)
+                scaled.append(seconds * meter.scale(t0, time.perf_counter()))
+    finally:
+        os.sched_setaffinity(0, allowed)
+    return scaled, raw
 
 
 class _MemorySink:
@@ -304,6 +461,7 @@ class ExploreWorkload:
     """
 
     unit = "configs"
+    segment = "closure"
 
     def __init__(self, name: str, system: Callable[[], Any],
                  explore: Callable[[Any], Any], workers: int = 1) -> None:
@@ -331,6 +489,7 @@ class ExploreWorkload:
         for result in results:
             window.attempted += 1
             window.ops += result.configs_explored
+            window.sizes.append(result.configs_explored)
             problem = identity_mismatch(result, golden[self.name])
             if problem:
                 window.fail(problem)
@@ -426,25 +585,39 @@ def campaign_plans(plan_seed: int):
                         trials=CAMPAIGN_TRIALS, seed=plan_seed)
 
 
+#: The plan seeds whose per-trial labels ``golden.json`` records.  Every
+#: label was produced by a run of this workload, so each expectation a
+#: run checks stands on a trial that was actually observed: a lost write
+#: or a spurious reset is safe or not depending on the interleaving its
+#: plan draws, so labels per plan kind would not be sound.
+PLAN_SEEDS = tuple(range(64))
+
+
 def plan_seeds(seed: int):
-    """The workload seed's stream of campaign plan seeds."""
+    """The workload seed's stream of campaign plan seeds: the verified
+    :data:`PLAN_SEEDS` in an order drawn from *seed*, over and over."""
     rng = random.Random(seed)
+    order = list(PLAN_SEEDS)
     while True:
-        yield rng.randrange(1, 2**31)
+        rng.shuffle(order)
+        yield from order
 
 
-def trial_mismatch(trial, golden: Dict[str, str]) -> Optional[str]:
+def trial_mismatch(trial, expected: Tuple[str, str]) -> Optional[str]:
     """A safe or certified trial must keep its label; an inconclusive one
-    may gain a verdict but never lose one."""
-    kind = trial.plan.name.rsplit("-", 2)[0]
-    expected = golden.get(kind)
-    if expected is None:
-        return f"{trial.plan.name}: no golden label for plan kind {kind!r}"
-    if expected == "inconclusive":
+    may gain a verdict but never lose one.
+
+    *expected* is the golden ``(plan name, label)`` of the trial at the
+    same index of the same plan seed's campaign.
+    """
+    name, label = expected
+    if trial.plan.name != name:
+        return f"{trial.plan.name}: golden trial is {name} (plans changed)"
+    if label == "inconclusive":
         return None
-    if trial.outcome != expected:
-        return f"{trial.plan.name}: {trial.outcome}, golden {expected}"
-    if expected == "violation" and not trial.certified:
+    if trial.outcome != label:
+        return f"{trial.plan.name}: {trial.outcome}, golden {label}"
+    if label == "violation" and not trial.certified:
         return f"{trial.plan.name}: violation not certified by replay"
     return None
 
@@ -452,6 +625,7 @@ def trial_mismatch(trial, golden: Dict[str, str]) -> Optional[str]:
 class CampaignWorkload:
     name = "campaign-corruption"
     unit = "trials"
+    segment = "campaign"
     workers = 1
 
     def prepare(self) -> None:
@@ -468,10 +642,16 @@ class CampaignWorkload:
             family="corruption", k=2, budget=4_000, max_retries=2,
         )
 
-    def _check(self, report, golden: Dict, window: Window) -> None:
-        for trial in report.trials:
+    def _check(self, plan_seed: int, report, golden: Dict,
+               window: Window) -> None:
+        expected = golden[self.name]["trials"].get(str(plan_seed), [])
+        for index, trial in enumerate(report.trials):
             window.attempted += 1
-            problem = trial_mismatch(trial, golden[self.name]["labels"])
+            if index >= len(expected):
+                window.fail(f"{trial.plan.name}: no golden label for plan "
+                            f"seed {plan_seed}")
+                continue
+            problem = trial_mismatch(trial, expected[index])
             if problem:
                 window.fail(problem)
         if len(report.trials) != CAMPAIGN_TRIALS:
@@ -481,13 +661,18 @@ class CampaignWorkload:
         window = Window(unit=self.unit)
         seeds = plan_seeds(seed)
         reports = []
-        run_window(window, seconds,
-                   lambda: reports.append(self.campaign(next(seeds))))
+
+        def verdict():
+            plan_seed = next(seeds)
+            reports.append((plan_seed, self.campaign(plan_seed)))
+
+        run_window(window, seconds, verdict)
         inconclusive = 0
-        for report in reports:
+        for plan_seed, report in reports:
             window.ops += len(report.trials)
+            window.sizes.append(len(report.trials))
             inconclusive += len(report.outcomes("inconclusive"))
-            self._check(report, golden, window)
+            self._check(plan_seed, report, golden, window)
         window.extra["inconclusive_frac"] = (
             inconclusive / window.ops, "ratio",
             f"{inconclusive} of {window.ops} trials")
@@ -506,7 +691,7 @@ class CampaignWorkload:
             wall = time.perf_counter() - t0
         finally:
             ledger.restore()
-        self._check(report, golden, reference)
+        self._check(first, report, golden, reference)
         attempts = sum(t.attempts for t in report.trials)
         useful = sum(1 for t in report.trials if t.outcome != "inconclusive")
         extra = {
@@ -527,9 +712,8 @@ class CampaignWorkload:
 # --------------------------------------------------------------------- #
 
 
-#: Share of requests that are cold (fresh keys); the rest re-submit an
-#: already-answered key, so about three hits per cold job.
-COLD_SHARE = 0.25
+#: Every cold request is followed by this many hits on answered keys.
+HITS_PER_COLD = 3
 
 #: Requests in the traced serve run (a fixed count keeps counts exact).
 TRACED_REQUESTS = 400
@@ -537,53 +721,66 @@ TRACED_REQUESTS = 400
 #: The daemon's peak RSS is read after this many requests: the daemon
 #: grows with the requests it has answered, so a time-bounded window
 #: would make its memory a function of host speed.
-RSS_PROBE_REQUESTS = 1_000
+RSS_PROBE_REQUESTS = 400
 
+#: One block of cold-job shapes, sent in an order drawn from the seed and
+#: then again: eight run-mode jobs (every protocol family at k=2 and k=3),
+#: one small fault campaign and one budget-capped exploration.  Each shape
+#: costs tens of milliseconds of compute, so a cold request's compute
+#: outweighs its hand-offs between client, daemon and pool worker, and a
+#: window holds whole blocks of the same mix whatever the seed.
+COLD_SHAPES: Tuple[Dict[str, Any], ...] = tuple(
+    {"mode": "run", "protocol": protocol, "n": 7, "m": 1, "k": k,
+     "scheduler": "writer-priority"}
+    for protocol in ("oneshot", "anonymous-oneshot", "repeated", "anonymous")
+    for k in (2, 3)
+) + (
+    {"mode": "faults", "protocol": "oneshot", "n": 4, "m": 1, "k": 2,
+     "fault_family": "crashes", "trials": 4, "budget": 4_000},
+    {"mode": "explore", "protocol": "oneshot", "n": 3, "m": 1, "k": 2,
+     "max_configs": 300},
+)
 
-def cold_job(rng: random.Random, unique: int) -> Dict[str, Any]:
-    """A fresh job: mostly run mode, some small faults and explore jobs.
-
-    *unique* lands in the job's ``seed`` field, which is part of the job
-    key, so every cold job is a distinct computation to the daemon.
-    """
-    roll = rng.random()
-    if roll < 0.8:
-        n = rng.choice((3, 4))
-        return {
-            "mode": "run",
-            "protocol": rng.choice(("oneshot", "anonymous-oneshot",
-                                    "repeated", "anonymous")),
-            "n": n, "m": 1, "k": rng.choice((1, 2)),
-            "scheduler": rng.choice(("round-robin", "random",
-                                     "writer-priority", "bounded")),
-            "seed": unique,
-        }
-    if roll < 0.9:
-        return {"mode": "faults", "protocol": "oneshot", "n": 3, "m": 1,
-                "k": 1, "fault_family": "crashes", "trials": 2,
-                "budget": 2_000, "seed": unique}
-    return {"mode": "explore", "protocol": "oneshot", "n": 2, "m": 1,
-            "k": 1, "max_configs": 100, "seed": unique}
+#: A serve window is timed in segments of this many requests: one whole
+#: block of :data:`COLD_SHAPES` with their hits, so every segment holds
+#: the same mix.
+SEGMENT_REQUESTS = len(COLD_SHAPES) * (1 + HITS_PER_COLD)
 
 
 def request_stream(seed: int):
     """The seed's closed-loop request sequence: ``("cold", job)`` or
-    ``("hit", index of an earlier cold job)``."""
+    ``("hit", index of an earlier cold job)``.
+
+    Each cold job is a :data:`COLD_SHAPES` entry whose ``seed`` field (part
+    of the job key) is unique, so every cold job is a distinct computation
+    to the daemon; :data:`HITS_PER_COLD` hits on answered keys follow it.
+    """
     rng = random.Random(seed)
+    shapes = list(COLD_SHAPES)
     cold = 0
     while True:
-        if cold == 0 or rng.random() < COLD_SHARE:
-            yield "cold", cold_job(rng, seed * 10_000_000 + cold)
+        rng.shuffle(shapes)
+        for shape in shapes:
+            yield "cold", dict(shape, seed=seed * 10_000_000 + cold)
             cold += 1
-        else:
-            yield "hit", rng.randrange(cold)
+            for _ in range(HITS_PER_COLD):
+                yield "hit", rng.randrange(cold)
 
 
 class Daemon:
-    """A ``repro serve`` subprocess on a fresh data directory."""
+    """A ``repro serve`` subprocess on a fresh data directory.
+
+    The client (this process), the daemon and its pool worker share one
+    CPU.  With one closed-loop client only one of them has work at a time,
+    and on a shared VM a hand-off to an idle vCPU waits for the host to
+    wake it: unpinned, a quarter of the window could pass with no process
+    on a CPU, and that share swung with the host's load.
+    """
 
     def __init__(self, data_dir: Path, telemetry_dir: Optional[Path] = None,
                  timeout: float = 60.0) -> None:
+        # The daemon and its worker inherit this process's affinity.
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         self.data_dir = data_dir
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -593,7 +790,6 @@ class Daemon:
             cmd += ["--telemetry", "jsonl", "--telemetry-dir", str(telemetry_dir)]
         env = dict(os.environ, PYTHONPATH=str(SRC))
         self.log = open(data_dir.with_suffix(".log"), "wb")
-        started = time.perf_counter()
         self.proc = subprocess.Popen(
             cmd, cwd=str(ROOT), env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=self.log,
@@ -603,8 +799,6 @@ class Daemon:
         except BaseException:
             self.stop()
             raise
-        #: Spawn to first answered ``status`` request.
-        self.ready_s = time.perf_counter() - started
 
     def _wait_ready(self, timeout: float) -> None:
         from repro.errors import ReproError
@@ -656,6 +850,7 @@ class Daemon:
 class ServeWorkload:
     name = "serve-mix"
     unit = "requests"
+    segment = "segment"
     workers = 1
 
     def __init__(self, scratch: Callable[[str], Path]) -> None:
@@ -665,10 +860,11 @@ class ServeWorkload:
         self.setup_sample()
 
     def setup_sample(self) -> float:
-        """One daemon start-up: spawn until it answers ``status``."""
-        daemon = Daemon(self.scratch("setup"))
-        daemon.stop()
-        return daemon.ready_s
+        """CPU seconds of one daemon life with no jobs: spawn, answer
+        ``status``, shut down (its pool worker included)."""
+        cpu0 = children_cpu_seconds()
+        Daemon(self.scratch("setup")).stop()
+        return children_cpu_seconds() - cpu0
 
     def _drive(self, daemon: Daemon, seed: int, window: Window, *,
                seconds: Optional[float] = None, count: Optional[int] = None,
@@ -685,41 +881,48 @@ class ServeWorkload:
         hit_ms: List[float] = []
         window.rss_mb = 0.0
         stream = request_stream(seed)
-        t_start = time.perf_counter()
-        while True:
-            kind, item = next(stream)
-            job = item if kind == "cold" else colds[item][0]
-            t0 = time.perf_counter()
-            try:
-                reply = client.verify(daemon.host, daemon.port, job,
-                                      timeout=120.0)
-            except ReproError as exc:
-                reply = {"ok": False, "error": str(exc)}
-            ms = (time.perf_counter() - t0) * 1e3
-            window.attempted += 1
-            if kind == "cold":
-                colds.append((job, reply, ms))
-            if not reply.get("ok"):
-                busy = " (busy)" if reply.get("busy") else ""
-                window.fail(f"{kind} request failed{busy}: {reply.get('error')}")
-            elif kind == "cold":
-                if reply.get("cached"):
-                    window.fail(f"cold request {reply.get('key')} was a cache hit")
-            else:
-                hit_ms.append(ms)
-                cold = colds[item][1]
-                if not (reply.get("cached")
-                        and reply.get("fingerprint") == cold.get("fingerprint")
-                        and reply.get("verdict") == cold.get("verdict")):
-                    window.fail(f"hit on {reply.get('key')} differs from its "
-                                "cold reply")
-            if window.attempted == RSS_PROBE_REQUESTS:
-                window.rss_mb = daemon.peak_rss_mb()
-            elapsed = time.perf_counter() - t_start
-            if count is not None and window.attempted >= count:
-                break
-            if seconds is not None and elapsed >= seconds:
-                break
+        # A time-bounded window ends on a segment boundary.
+        t_start = t_segment = time.perf_counter()
+        with SpeedMeter() as meter:
+            while True:
+                kind, item = next(stream)
+                job = item if kind == "cold" else colds[item][0]
+                t0 = time.perf_counter()
+                try:
+                    reply = client.verify(daemon.host, daemon.port, job,
+                                          timeout=120.0)
+                except ReproError as exc:
+                    reply = {"ok": False, "error": str(exc)}
+                ms = (time.perf_counter() - t0) * 1e3
+                window.attempted += 1
+                if kind == "cold":
+                    colds.append((job, reply, ms))
+                if not reply.get("ok"):
+                    busy = " (busy)" if reply.get("busy") else ""
+                    window.fail(f"{kind} request failed{busy}: {reply.get('error')}")
+                elif kind == "cold":
+                    if reply.get("cached"):
+                        window.fail(f"cold request {reply.get('key')} was a cache hit")
+                else:
+                    hit_ms.append(ms)
+                    cold = colds[item][1]
+                    if not (reply.get("cached")
+                            and reply.get("fingerprint") == cold.get("fingerprint")
+                            and reply.get("verdict") == cold.get("verdict")):
+                        window.fail(f"hit on {reply.get('key')} differs from its "
+                                    "cold reply")
+                if window.attempted == RSS_PROBE_REQUESTS:
+                    window.rss_mb = daemon.peak_rss_mb()
+                if window.attempted % SEGMENT_REQUESTS == 0:
+                    now = time.perf_counter()
+                    window.walls.append(now - t_segment)
+                    window.sizes.append(SEGMENT_REQUESTS)
+                    window.scales.append(meter.scale(t_segment, now))
+                    t_segment = now
+                    if seconds is not None and now - t_start >= seconds:
+                        break
+                if count is not None and window.attempted >= count:
+                    break
         window.ops = window.attempted
         window.wall_s = time.perf_counter() - t_start
         if not window.rss_mb:
