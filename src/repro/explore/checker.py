@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro._types import Value
 from repro.durable.recovery import RecoveryReport
 from repro.errors import StepLimitExceeded
 from repro.memory.layout import RegisterCoord
-from repro.runtime.system import Configuration, System
+from repro.runtime.system import Configuration, StepResult, System
 
 
 @dataclass(frozen=True)
@@ -248,20 +248,105 @@ def _expansion_pids(system: System, config: Configuration, reduction: str):
     return enabled
 
 
+#: A solo-run hint ``(q, L, halted)``: q's solo run from the hinted
+#: configuration takes exactly ``L`` steps, and ``halted`` says whether
+#: every process has halted at its end.
+SoloHint = Tuple[int, int, bool]
+
+
+class ProgressCheck(NamedTuple):
+    """What the progress oracle found and learned at one configuration."""
+
+    #: ``(survivors, detail)`` of the first survivor set that cannot
+    #: finish, or ``None``.
+    stall: Optional[Tuple[Tuple[int, ...], str]]
+    #: ``q -> (L, halted)`` for every singleton survivor whose solo length
+    #: is known here, hinted or run.
+    solo: Dict[int, Tuple[int, bool]]
+    #: ``q -> step(config, q)`` for every solo run the oracle made: the
+    #: run's first step is exactly the BFS edge to the successor via q.
+    first_steps: Dict[int, StepResult]
+    #: Survivor-set runs made, one ``runner.run`` call each.
+    runs: int
+    #: Singleton checks answered from a known solo length, without a run.
+    hint_hits: int
+
+
+def _exceeded(
+    survivors: Tuple[int, ...], solo_budget: int
+) -> Tuple[Tuple[int, ...], str]:
+    return (
+        survivors,
+        f"survivors {survivors} exceeded {solo_budget} "
+        "steps running in isolation",
+    )
+
+
 def _check_config_progress(
     system: System,
     config: Configuration,
     survivor_sets: Sequence[Tuple[int, ...]],
     solo_budget: int,
-) -> Optional[Tuple[Tuple[int, ...], str]]:
-    """First survivor set that cannot finish from *config*, or ``None``."""
+    hint: Optional[SoloHint] = None,
+) -> ProgressCheck:
+    """Run every survivor set in isolation from *config*; stop at the first stall.
+
+    A survivor set fails when its round-robin run exceeds ``solo_budget``
+    steps, which is how :func:`~repro.runtime.runner.run` reports it: the
+    run raises once it has taken ``solo_budget`` steps and some process is
+    still enabled.  For a singleton ``(q,)`` with solo length ``L`` (q's
+    steps until it halts) that is ``L > solo_budget``, or ``L ==
+    solo_budget`` with another process still enabled at the end.
+
+    A singleton run starts with ``step(config, q)``, the very BFS edge the
+    caller steps next, so the oracle takes that step itself, finishes the
+    run from it with ``solo_budget - 1`` steps left, and hands the step
+    back in :attr:`ProgressCheck.first_steps`.  The caller tags the
+    successor via q with ``(q, L - 1, halted)``: the solo run from there is
+    this run's suffix.  *hint* is such a tag; with it, q's check needs no
+    run at all.  Survivor sets of two or more processes run as they are.
+    """
     from repro.runtime.runner import run
     from repro.sched.round_robin import RoundRobinScheduler
 
+    solo: Dict[int, Tuple[int, bool]] = {}
+    if hint is not None:
+        solo[hint[0]] = (hint[1], hint[2])
+    first_steps: Dict[int, StepResult] = {}
+    runs = hint_hits = 0
+    stall: Optional[Tuple[Tuple[int, ...], str]] = None
     for survivors in survivor_sets:
-        pending = [pid for pid in survivors if system.enabled(config, pid)]
-        if not pending:
+        if len(survivors) == 1:
+            q = survivors[0]
+            if not system.enabled(config, q):
+                continue
+            if q in solo:
+                hint_hits += 1
+            elif solo_budget <= 0:
+                stall = _exceeded(survivors, solo_budget)
+                break
+            else:
+                first = first_steps[q] = system.step(config, q)
+                runs += 1
+                try:
+                    tail = run(
+                        system,
+                        RoundRobinScheduler(subset=survivors),
+                        initial=first.config,
+                        max_steps=solo_budget - 1,
+                    )
+                except StepLimitExceeded:
+                    stall = _exceeded(survivors, solo_budget)
+                    break
+                solo[q] = (1 + tail.steps, system.all_halted(tail.config))
+            length, halted = solo[q]
+            if length > solo_budget or (length == solo_budget and not halted):
+                stall = _exceeded(survivors, solo_budget)
+                break
             continue
+        if not any(system.enabled(config, pid) for pid in survivors):
+            continue
+        runs += 1
         try:
             tail = run(
                 system,
@@ -270,14 +355,12 @@ def _check_config_progress(
                 max_steps=solo_budget,
             )
         except StepLimitExceeded:
-            return (
-                survivors,
-                f"survivors {survivors} exceeded {solo_budget} "
-                "steps running in isolation",
-            )
+            stall = _exceeded(survivors, solo_budget)
+            break
         if not system.decided_all(tail.config, survivors):
-            return (survivors, f"survivors {survivors} stalled before finishing")
-    return None
+            stall = (survivors, f"survivors {survivors} stalled before finishing")
+            break
+    return ProgressCheck(stall, solo, first_steps, runs, hint_hits)
 
 
 def default_survivor_sets(n: int, m: int) -> List[Tuple[int, ...]]:

@@ -96,7 +96,7 @@ from repro.runtime.events import MemoryEvent
 from repro.telemetry import heartbeat
 from repro.telemetry.metrics import COUNT_BUCKETS, MetricsRegistry, MetricsSnapshot
 from repro.telemetry.tracing import SpanRecord, chunk_lane, chunk_span_id
-from repro.runtime.system import Configuration, System
+from repro.runtime.system import Configuration, StepResult, System
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,10 +124,12 @@ class _Expansion:
     fingerprint: str
     safety_problem: Optional[Tuple[str, int, Tuple, str]]
     progress_problem: Optional[Tuple[Tuple[int, ...], str]]
-    #: ``(pid, carrier, fingerprint)`` per successor; the carrier is a
-    #: :class:`Configuration` (reference/legacy) or a
-    #: :class:`~repro.explore.packed.PackedState` (packed backend).
-    successors: Tuple[Tuple[int, Carrier, str], ...]
+    #: ``(pid, carrier, fingerprint, hint)`` per successor; the carrier is
+    #: a :class:`Configuration` (reference/legacy) or a
+    #: :class:`~repro.explore.packed.PackedState` (packed backend), and
+    #: the hint is the successor's solo-run hint (progress oracle) or
+    #: ``None``.
+    successors: Tuple[Tuple[int, Carrier, str, Optional[checker.SoloHint]], ...]
     failure: Optional[EngineFailure]
     memory_inc: int = 0
     write_inc: int = 0
@@ -135,6 +137,10 @@ class _Expansion:
     #: Canonical packed bytes produced while fingerprinting successors —
     #: the deterministic input of the ``explore.packed.*`` counters.
     encoded_bytes: int = 0
+    #: Progress oracle work: survivor-set runs made and singleton checks
+    #: answered from a hint — the ``explore.progress.*`` counters.
+    solo_runs: int = 0
+    hint_hits: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +164,12 @@ class _WorkerContext:
     #: fingerprint keying and the frontier/pool carrier representation.
     backend: Optional[Backend] = None
 
+
+#: One frontier entry as dispatched: ``(fingerprint, carrier, hint)``.  The
+#: hint comes from the coordinator's hint table and is ``None`` for the
+#: safety oracle, for entries restored from a journal or cache, and for
+#: successors whose discoverer learned no solo length for them.
+_BatchItem = Tuple[str, Carrier, Optional[checker.SoloHint]]
 
 #: Worker-process slot for the run context (set pre-fork / by initializer).
 _WORKER: Optional[_WorkerContext] = None
@@ -197,11 +209,25 @@ def _set_worker(ctx: _WorkerContext) -> None:
     _init_worker()
 
 
-def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
-    """Oracle-check one frontier carrier and compute its successors."""
+def _expand_one(
+    ctx: _WorkerContext,
+    fp: str,
+    carrier: Carrier,
+    hint: Optional[checker.SoloHint] = None,
+) -> _Expansion:
+    """Oracle-check one frontier carrier and compute its successors.
+
+    Under the progress oracle, the first step of every solo run the oracle
+    made is reused as the BFS edge for that pid rather than stepped again,
+    and the successor via q inherits q's solo length minus one as its hint
+    (see :func:`~repro.explore.checker._check_config_progress`).
+    """
     try:
         backend = ctx.backend
         config = backend.configuration(carrier)
+        first_steps: Dict[int, StepResult] = {}
+        solo: Dict[int, Tuple[int, bool]] = {}
+        solo_runs = hint_hits = 0
         if ctx.oracle == "safety":
             problem = checker._check_config_safety(
                 ctx.system, config, ctx.k, ctx.inputs
@@ -210,18 +236,28 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
                 return _Expansion(fp, problem, None, (), None)
             pids = checker._expansion_pids(ctx.system, config, ctx.reduction)
         else:
-            stall = checker._check_config_progress(
-                ctx.system, config, ctx.survivor_sets, ctx.solo_budget
+            check = checker._check_config_progress(
+                ctx.system, config, ctx.survivor_sets, ctx.solo_budget, hint
             )
-            if stall is not None:
-                return _Expansion(fp, None, stall, (), None)
+            if check.stall is not None:
+                return _Expansion(
+                    fp, None, check.stall, (), None,
+                    solo_runs=check.runs, hint_hits=check.hint_hits,
+                )
+            first_steps, solo = check.first_steps, check.solo
+            solo_runs, hint_hits = check.runs, check.hint_hits
             pids = ctx.system.enabled_pids(config)
-        successors: List[Tuple[int, object, str]] = []
+        successors: List[Tuple[int, object, str, Optional[checker.SoloHint]]] = []
         memory_inc = write_inc = 0
         encoded_bytes = 0
         writes: List[RegisterCoord] = []
         for pid in pids:
-            step = ctx.system.step(config, pid)
+            step = first_steps.get(pid)
+            if step is None:
+                step = ctx.system.step(config, pid)
+            length, halted = solo.get(pid, (0, False))
+            # With L == 1, q has halted at the successor: nothing to hint.
+            succ_hint = (pid, length - 1, halted) if length > 1 else None
             succ_fp, data = backend.fingerprint(step.config, ctx.classes)
             if data is not None:
                 encoded_bytes += len(data)
@@ -234,6 +270,7 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
                     step.config, data if ctx.classes is None else None
                 ),
                 succ_fp,
+                succ_hint,
             ))
             if isinstance(step.event, MemoryEvent):
                 memory_inc += 1
@@ -245,6 +282,7 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
         return _Expansion(
             fp, None, None, tuple(successors), None,
             memory_inc, write_inc, tuple(writes), encoded_bytes,
+            solo_runs, hint_hits,
         )
     except Exception as exc:  # noqa: BLE001 — everything must cross the pool
         failure = EngineFailure(
@@ -257,7 +295,7 @@ def _expand_one(ctx: _WorkerContext, fp: str, carrier: Carrier) -> _Expansion:
 
 
 def _expand_chunk(
-    payload: Tuple[int, int, Optional[str], List[Tuple[str, Carrier]]],
+    payload: Tuple[int, int, Optional[str], List[_BatchItem]],
 ) -> Tuple[List[_Expansion], Optional[MetricsSnapshot]]:
     """Worker entry point: expand a contiguous frontier slice, in order.
 
@@ -280,7 +318,7 @@ def _expand_chunk(
 
 def _expand_chunk_measured(
     ctx: _WorkerContext,
-    items: List[Tuple[str, Carrier]],
+    items: List[_BatchItem],
     *,
     batch: int = 0,
     chunk: int = 0,
@@ -297,11 +335,11 @@ def _expand_chunk_measured(
     submission leaves no span behind and durations never double-count.
     """
     if not ctx.telemetry_enabled:
-        return [_expand_one(ctx, fp, carrier) for fp, carrier in items], None
+        return [_expand_one(ctx, *item) for item in items], None
     registry = MetricsRegistry()
     wall0 = time.time()
     t0 = time.perf_counter()
-    expansions = [_expand_one(ctx, fp, carrier) for fp, carrier in items]
+    expansions = [_expand_one(ctx, *item) for item in items]
     elapsed = time.perf_counter() - t0
     registry.counter("explore.worker.chunks").inc()
     registry.counter("explore.worker.expansions").inc(len(expansions))
@@ -314,6 +352,15 @@ def _expand_chunk_measured(
         )
         registry.counter("explore.packed.bytes_encoded").inc(
             sum(e.encoded_bytes for e in expansions)
+        )
+    if ctx.oracle == "progress":
+        # Deterministic too: hints are assigned at the coordinator's merge,
+        # so which checks are hinted does not depend on how batches split.
+        registry.counter("explore.progress.solo_runs").inc(
+            sum(e.solo_runs for e in expansions)
+        )
+        registry.counter("explore.progress.hint_hits").inc(
+            sum(e.hint_hits for e in expansions)
         )
     registry.histogram("explore.worker.chunk_seconds", volatile=True).observe(
         elapsed
@@ -421,8 +468,14 @@ def _merge_batch(
     frontier: Deque[Tuple[str, object]],
     result: checker.ExplorationResult,
     stop_at_first: bool,
+    hints: Dict[str, checker.SoloHint],
 ) -> Tuple[_BatchDelta, bool]:
     """Merge one fully-expanded batch into the coordinator state.
+
+    A newly admitted successor's solo-run hint, if any, goes into *hints*
+    under its fingerprint: only the first discoverer's hint is kept, so
+    the table, and with it the work of every later check, is the same at
+    every worker count and batch size.
 
     Raises :class:`~repro.errors.ExplorationEngineError` *before* touching
     any state if the batch carries a worker failure, so a failed batch
@@ -475,11 +528,13 @@ def _merge_batch(
             )
             done = True
             break
-        for pid, successor, succ_fp in expansion.successors:
+        for pid, successor, succ_fp, hint in expansion.successors:
             if succ_fp not in parents:
                 parents[succ_fp] = (expansion.fingerprint, pid)
                 new_entries.append((succ_fp, expansion.fingerprint, pid))
                 frontier.append((succ_fp, successor))
+                if hint is not None:
+                    hints[succ_fp] = hint
     result.configs_explored += explored_inc
     result.memory_steps += memory_inc
     result.write_steps += write_inc
@@ -727,6 +782,10 @@ def explore(
     result.registers_written = base_footprint[2]
     result.recovery = recovery
 
+    # Solo-run hints for frontier entries, by fingerprint (progress oracle).
+    # Advisory: never journaled or cached, so a resumed run only re-runs
+    # more solo runs and reaches the same verdict.
+    hints: Dict[str, checker.SoloHint] = {}
     done = False
     batch_index = 0
     if runlog is not None:
@@ -770,7 +829,10 @@ def explore(
                     result.complete = False
                     break
                 count = min(len(frontier), budget, batch_size * workers)
-                batch = [frontier.popleft() for _ in range(count)]
+                batch = []
+                for _ in range(count):
+                    fp, carrier = frontier.popleft()
+                    batch.append((fp, carrier, hints.pop(fp, None)))
                 with telemetry.span(
                     "explore.batch", batch=batch_index, size=count
                 ) as sp:
@@ -789,7 +851,7 @@ def explore(
                         )
                     delta, done = _merge_batch(
                         batch_index, count, expansions, parents, frontier,
-                        result, stop_at_first,
+                        result, stop_at_first, hints,
                     )
                     sp.set(
                         explored=delta.explored_inc,
@@ -862,7 +924,7 @@ def explore(
 
 def _expand_chunk_local(
     ctx: _WorkerContext,
-    batch: List[Tuple[str, object]],
+    batch: List[_BatchItem],
     batch_index: int = 0,
     parent: Optional[str] = None,
 ) -> List[_Expansion]:
@@ -903,7 +965,7 @@ def _batch_telemetry(
 def _expand_batch(
     pool,
     ctx: _WorkerContext,
-    batch: List[Tuple[str, object]],
+    batch: List[_BatchItem],
     workers: int,
     *,
     batch_timeout: Optional[float],

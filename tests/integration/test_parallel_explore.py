@@ -6,9 +6,10 @@ import dataclasses
 
 import pytest
 
-from repro import OneShotSetAgreement, System
+from repro import OneShotSetAgreement, System, telemetry
 from repro._types import Params
 from repro.agreement.anonymous import AnonymousOneShotSetAgreement
+from repro.durable.watchdog import Watchdog
 from repro.errors import ExplorationEngineError
 from repro.explore import explore_progress_closure, explore_safety
 from repro.explore.cache import entry_path, load_entry
@@ -233,3 +234,113 @@ class TestCliIntegration:
         assert code == 0
         out = capsys.readouterr().out
         assert "orbit representatives" in out
+
+
+class StopAfterPolls(Watchdog):
+    """A watchdog that asks the run to stop at its *polls*-th batch boundary."""
+
+    def __init__(self, polls):
+        super().__init__()
+        self.polls = polls
+
+    def poll(self):
+        self.polls -= 1
+        if self.polls <= 0:
+            self.request_stop("test-stop")
+        return super().poll()
+
+
+def oneshot_n3():
+    return System(
+        OneShotSetAgreement(n=3, m=1, k=2), workloads=[["a"], ["b"], ["c"]]
+    )
+
+
+def progress_with_counters(**kwargs):
+    """A telemetered progress closure: its identity record and the
+    deterministic ``explore.progress.*`` counters."""
+    session = telemetry.start(command="explore", mode="jsonl", sinks=[])
+    try:
+        result = explore_progress_closure(oneshot_n3(), m=1, **kwargs)
+        counters = tuple(
+            session.registry.value("counter", f"explore.progress.{name}")
+            for name in ("solo_runs", "hint_hits")
+        )
+    finally:
+        session.close(exit_code=0)
+        telemetry.reset()
+    return result.identity_record(), counters
+
+
+class TestProgressHintInvariance:
+    """Solo-run hints are assigned at the coordinator's merge and never
+    persisted, so the oracle's work and its verdict do not depend on the
+    worker count, the batch size, a journal resume, or canonicalization."""
+
+    def test_record_and_counters_invariant_across_workers_and_batches(self):
+        runs = {
+            (workers, batch_size): progress_with_counters(
+                solo_budget=2_000, max_configs=600,
+                workers=workers, batch_size=batch_size,
+            )
+            for workers in (1, 2)
+            for batch_size in (7, 32)
+        }
+        baseline = runs[1, 7]
+        solo_runs, hint_hits = baseline[1]
+        assert solo_runs > 0 and hint_hits > 0
+        assert all(run == baseline for run in runs.values())
+
+    def test_violation_invariant_across_workers_and_batches(self):
+        """A budget of 10 fails six solo steps deep.  The counters are left
+        out here: the batch that holds the violation is expanded whole, and
+        how much of it lies past the violation depends on the split."""
+        records = [
+            progress_with_counters(
+                solo_budget=10, workers=workers, batch_size=batch_size
+            )[0]
+            for workers in (1, 2)
+            for batch_size in (7, 32)
+        ]
+        violation = records[0]["progress_violations"][0]
+        assert len(violation["schedule_to_config"]) == 6
+        assert all(record == records[0] for record in records)
+
+    def test_journal_resume_matches_uninterrupted(self, tmp_path):
+        kwargs = dict(solo_budget=2_000, max_configs=600, batch_size=16)
+        baseline = explore_progress_closure(oneshot_n3(), m=1, **kwargs)
+        journal_dir = str(tmp_path / "journal")
+        first_leg = explore_progress_closure(
+            oneshot_n3(), m=1, journal_dir=journal_dir,
+            watchdog=StopAfterPolls(5), **kwargs,
+        )
+        assert first_leg.interrupted == "test-stop"
+        # Stopped mid-run: the resumed frontier has lost its hints.
+        assert 0 < first_leg.configs_explored < baseline.configs_explored
+        resumed = explore_progress_closure(
+            oneshot_n3(), m=1, journal_dir=journal_dir, **kwargs
+        )
+        assert resumed.recovery is not None
+        assert resumed.identity_record() == baseline.identity_record()
+
+    @pytest.mark.parametrize(
+        "solo_budget, explored", [(12, 1), (13, 629), (2_000, 629)]
+    )
+    def test_canonicalized_anonymous_verdict(self, solo_budget, explored):
+        """The anonymous one-shot automaton's first solo run takes 12 steps
+        with the other processes still enabled: a budget of 12 fails at the
+        initial configuration, 13 closes all 629 orbit representatives."""
+        system = System(
+            AnonymousOneShotSetAgreement(n=3, m=1, k=1),
+            workloads=[["v"], ["v"], ["v"]],
+        )
+        orbits = explore_progress_closure(
+            system, m=1, solo_budget=solo_budget, canonicalize=True
+        )
+        plain = explore_progress_closure(
+            system, m=1, solo_budget=solo_budget, max_configs=explored
+        )
+        assert orbits.configs_explored == explored
+        assert orbits.complete == (explored == 629)
+        assert orbits.ok == plain.ok
+        assert orbits.progress_violations == plain.progress_violations
